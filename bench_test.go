@@ -1,6 +1,7 @@
 package hnp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -541,6 +542,50 @@ func BenchmarkSolveK4(b *testing.B) { benchSolveK(b, 4) }
 // BenchmarkSolveK6 is the 6-way variant: 2^6 submask rows stress the DP
 // slabs and the submask enumeration far harder than K=4.
 func BenchmarkSolveK6(b *testing.B) { benchSolveK(b, 6) }
+
+// BenchmarkRegistryInputsFor measures the reuse lookup every cluster
+// search makes: a 5-source query against registries of 25 and 400 ads,
+// a quarter of them drawn from the query's own streams. Each lookup scans
+// the whole registry, so the 400-ad case shows what non-matching ads cost.
+func BenchmarkRegistryInputsFor(b *testing.B) {
+	for _, n := range []int{25, 400} {
+		b.Run(fmt.Sprintf("ads=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			cat := query.NewCatalog(0.01)
+			for i := 0; i < 100; i++ {
+				cat.Add("s", 1+rng.Float64()*50, netgraph.NodeID(rng.Intn(64)))
+			}
+			q, err := query.NewQuery(0, []query.StreamID{3, 17, 42, 58, 91}, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rt := query.BuildRates(cat, q)
+			reg := ads.NewRegistry()
+			for reg.Len() < n {
+				var streams []query.StreamID
+				if reg.Len()%4 == 0 {
+					for _, p := range rng.Perm(q.K())[:2+rng.Intn(2)] {
+						streams = append(streams, q.Sources[p])
+					}
+				} else {
+					for _, id := range rng.Perm(100)[:2+rng.Intn(3)] {
+						streams = append(streams, query.StreamID(id))
+					}
+				}
+				reg.Advertise(ads.Ad{Sig: query.SigOf(streams), Streams: streams, Node: netgraph.NodeID(rng.Intn(64))})
+			}
+			within := func(n netgraph.NodeID) bool { return n < 32 }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkInputs = reg.InputsFor(q, rt, within)
+			}
+		})
+	}
+}
+
+// sinkInputs keeps BenchmarkRegistryInputsFor's result live.
+var sinkInputs []query.Input
 
 // BenchmarkSolveDP measures the in-cluster joint DP itself across input
 // counts — the inner loop of everything.

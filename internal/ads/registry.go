@@ -7,6 +7,8 @@
 package ads
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -40,14 +42,23 @@ type Ad struct {
 	ProjSig string
 }
 
-// Registry indexes advertisements by signature. The zero value is not
-// usable; create with NewRegistry. A Registry is internally locked: any
+// Registry is an ordered index of advertisements. The zero value is an
+// empty registry, as is NewRegistry's result. A Registry is internally locked: any
 // number of goroutines may advertise and look up concurrently, so planners
 // can consult the registry while other deployments advertise into it.
+//
+// Ads are kept in one slice sorted by (Sig, Node), the registry's key:
+// Advertise inserts by binary search (O(log n) to find the slot plus an
+// O(n) move), Prune compacts in one pass, All copies the slice, and
+// InputsFor scans it in place, rejecting most ads with one AND of
+// stream-set prefilters and allocating nothing for an ad rejected on its
+// stream set.
 type Registry struct {
 	mu    sync.RWMutex
-	bySig map[string][]Ad
-	count int
+	index []entry
+	// seq numbers advertisements so Lookup can return a signature's ads
+	// in the order they were advertised.
+	seq uint64
 
 	// Telemetry handles (nil until BindObs; all nil-safe no-ops then).
 	obsAdvertised *obs.Counter
@@ -57,8 +68,28 @@ type Registry struct {
 	obsPruned     *obs.Counter
 }
 
+// entry is one indexed advertisement.
+type entry struct {
+	ad Ad
+	// streams has bit id&63 set for every stream the ad names. An ad whose
+	// bits are not all in a query's set names a stream the query lacks;
+	// the converse does not hold once IDs reach 64, so a pass is confirmed
+	// exactly by Query.MaskOf.
+	streams uint64
+	seq     uint64
+}
+
+// streamBits returns the prefilter set of ids: bit id&63 per stream.
+func streamBits(ids []query.StreamID) uint64 {
+	var b uint64
+	for _, id := range ids {
+		b |= 1 << (uint(id) & 63)
+	}
+	return b
+}
+
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{bySig: map[string][]Ad{}} }
+func NewRegistry() *Registry { return &Registry{} }
 
 // BindObs connects the registry to a telemetry registry: advertisement
 // counts ("ads.advertised", "ads.duplicates") and reuse-lookup activity
@@ -79,29 +110,32 @@ func (r *Registry) BindObs(reg *obs.Registry) {
 // they materialized stop existing, and planners must stop being offered
 // them (a reused input that no longer runs anywhere fails at deployment).
 // Callers typically keep exactly the ads whose operator is still hosted by
-// the runtime.
+// the runtime. keep runs under the registry's write lock and must not
+// call back into the registry.
 func (r *Registry) Prune(keep func(Ad) bool) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	removed := 0
-	for sig, list := range r.bySig {
-		kept := list[:0]
-		for _, ad := range list {
-			if keep(ad) {
-				kept = append(kept, ad)
-			} else {
-				removed++
-			}
-		}
-		if len(kept) == 0 {
-			delete(r.bySig, sig)
-		} else {
-			r.bySig[sig] = kept
+	kept := r.index[:0]
+	for _, e := range r.index {
+		if keep(e.ad) {
+			kept = append(kept, e)
 		}
 	}
-	r.count -= removed
+	removed := len(r.index) - len(kept)
+	// Clear the vacated tail so retracted ads can be collected.
+	clear(r.index[len(kept):])
+	r.index = kept
 	r.obsPruned.Add(int64(removed))
 	return removed
+}
+
+// search returns the index of the first entry not ordered before
+// (sig, node).
+func (r *Registry) search(sig string, node netgraph.NodeID) int {
+	return sort.Search(len(r.index), func(i int) bool {
+		e := &r.index[i].ad
+		return e.Sig > sig || (e.Sig == sig && e.Node >= node)
+	})
 }
 
 // Advertise records an ad. A duplicate (same signature at the same node)
@@ -110,14 +144,13 @@ func (r *Registry) Prune(keep func(Ad) bool) int {
 func (r *Registry) Advertise(ad Ad) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, ex := range r.bySig[ad.Sig] {
-		if ex.Node == ad.Node {
-			r.obsDuplicates.Inc()
-			return false
-		}
+	i := r.search(ad.Sig, ad.Node)
+	if i < len(r.index) && r.index[i].ad.Sig == ad.Sig && r.index[i].ad.Node == ad.Node {
+		r.obsDuplicates.Inc()
+		return false
 	}
-	r.bySig[ad.Sig] = append(r.bySig[ad.Sig], ad)
-	r.count++
+	r.seq++
+	r.index = slices.Insert(r.index, i, entry{ad: ad, streams: streamBits(ad.Streams), seq: r.seq})
 	r.obsAdvertised.Inc()
 	return true
 }
@@ -126,7 +159,7 @@ func (r *Registry) Advertise(ad Ad) bool {
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.count
+	return len(r.index)
 }
 
 // AddAll copies every ad from other into r (duplicates skipped). It
@@ -151,12 +184,27 @@ func (r *Registry) Clone() *Registry {
 	return c
 }
 
-// Lookup returns all ads with the given signature. The result is a copy,
-// safe to hold while other goroutines advertise.
+// Lookup returns all ads with the given signature, in the order they were
+// advertised. The result is a copy, safe to hold while other goroutines
+// advertise.
 func (r *Registry) Lookup(sig string) []Ad {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return append([]Ad(nil), r.bySig[sig]...)
+	lo := sort.Search(len(r.index), func(i int) bool { return r.index[i].ad.Sig >= sig })
+	hi := lo
+	for hi < len(r.index) && r.index[hi].ad.Sig == sig {
+		hi++
+	}
+	if lo == hi {
+		return nil
+	}
+	run := slices.Clone(r.index[lo:hi])
+	slices.SortFunc(run, func(a, b entry) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]Ad, len(run))
+	for i := range run {
+		out[i] = run[i].ad
+	}
+	return out
 }
 
 // All returns every ad, ordered by signature then node, for deterministic
@@ -164,21 +212,18 @@ func (r *Registry) Lookup(sig string) []Ad {
 func (r *Registry) All() []Ad {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	sigs := make([]string, 0, len(r.bySig))
-	for s := range r.bySig {
-		sigs = append(sigs, s)
+	if len(r.index) == 0 {
+		return nil
 	}
-	sort.Strings(sigs)
-	var out []Ad
-	for _, s := range sigs {
-		as := append([]Ad(nil), r.bySig[s]...)
-		sort.Slice(as, func(i, j int) bool { return as[i].Node < as[j].Node })
-		out = append(out, as...)
+	out := make([]Ad, len(r.index))
+	for i := range r.index {
+		out[i] = r.index[i].ad
 	}
 	return out
 }
 
-// InputsFor converts the ads usable by query q into planner inputs:
+// InputsFor converts the ads usable by query q into planner inputs, in
+// (Sig, Node) order:
 // every ad whose stream set is a subset of q's sources, covering at least
 // two positions (single-stream ads duplicate base inputs), whose node
 // passes the within filter (nil means anywhere), and whose predicates
@@ -186,10 +231,20 @@ func (r *Registry) All() []Ad {
 // through a residual filter applied at the producing node. Rates are
 // taken from the query's rate table (which already reflects the query's
 // own predicates) so reuse and fresh computation are costed consistently.
+// The index is scanned in place under the read lock, so within must not
+// call back into the registry.
 func (r *Registry) InputsFor(q *query.Query, rt query.RateTable, within func(netgraph.NodeID) bool) []query.Input {
 	r.obsLookups.Inc()
+	qbits := streamBits(q.Sources)
 	var out []query.Input
-	for _, ad := range r.All() {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for i := range r.index {
+		e := &r.index[i]
+		if e.streams&^qbits != 0 {
+			continue
+		}
+		ad := &e.ad
 		mask, ok := q.MaskOf(ad.Streams)
 		if !ok || mask.Count() < 2 {
 			continue

@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -113,15 +114,15 @@ func (ps PredSet) Len() int { return len(ps.m) }
 
 // Restrict returns the subset of constraints that touch the given streams.
 func (ps PredSet) Restrict(streams []StreamID) PredSet {
-	want := map[StreamID]bool{}
-	for _, s := range streams {
-		want[s] = true
-	}
-	out := PredSet{m: map[predKey]Range{}}
+	var out PredSet
 	for k, r := range ps.m {
-		if want[k.stream] {
-			out.m[k] = r
+		if !slices.Contains(streams, k.stream) {
+			continue
 		}
+		if out.m == nil {
+			out.m = map[predKey]Range{}
+		}
+		out.m[k] = r
 	}
 	return out
 }

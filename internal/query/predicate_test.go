@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -196,5 +197,51 @@ func TestContainmentProperties(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInputsForRestrict checks the scan-based Restrict (called per
+// candidate ad by ads.Registry.InputsFor and per signature by SigOf)
+// against a stream-set filter on empty, disjoint and multi-attribute sets.
+func TestInputsForRestrict(t *testing.T) {
+	reference := func(ps PredSet, streams []StreamID) PredSet {
+		want := map[StreamID]bool{}
+		for _, s := range streams {
+			want[s] = true
+		}
+		out := PredSet{m: map[predKey]Range{}}
+		for k, r := range ps.m {
+			if want[k.stream] {
+				out.m[k] = r
+			}
+		}
+		return out
+	}
+	multi := MustPredSet(
+		Pred{Stream: 1, Attr: "x", Range: Range{0, 0.5}},
+		Pred{Stream: 1, Attr: "y", Range: Range{0.25, 0.75}},
+		Pred{Stream: 2, Attr: "x", Range: Range{0.5, 1}},
+		Pred{Stream: 70, Attr: "z", Range: Range{0, 0.1}},
+	)
+	cases := []struct {
+		name    string
+		ps      PredSet
+		streams []StreamID
+	}{
+		{"zero set", PredSet{}, []StreamID{1, 2}},
+		{"empty set", MustPredSet(), []StreamID{1}},
+		{"no streams", multi, nil},
+		{"disjoint", multi, []StreamID{3, 4, 6}},
+		{"multi-attribute stream", multi, []StreamID{1}},
+		{"two streams", multi, []StreamID{2, 1}},
+		{"all streams, repeated", multi, []StreamID{70, 2, 1, 2}},
+	}
+	for _, c := range cases {
+		got, want := c.ps.Restrict(c.streams), reference(c.ps, c.streams)
+		if got.Sig() != want.Sig() || got.Len() != want.Len() || got.Empty() != want.Empty() ||
+			!got.Equal(want) || !got.Contains(want) || !want.Contains(got) ||
+			!reflect.DeepEqual(got.Preds(), want.Preds()) {
+			t.Errorf("%s: Restrict(%v) = %q, want %q", c.name, c.streams, got.Sig(), want.Sig())
+		}
 	}
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"hnp/internal/netgraph"
 )
@@ -143,14 +144,10 @@ func (q *Query) ProjSigOf(m Mask) string {
 // MaskOf returns the mask of positions corresponding to a set of global
 // stream IDs, and false if any of them is not a source of this query.
 func (q *Query) MaskOf(ids []StreamID) (Mask, bool) {
-	pos := map[StreamID]int{}
-	for i, s := range q.Sources {
-		pos[s] = i
-	}
 	var m Mask
 	for _, id := range ids {
-		p, ok := pos[id]
-		if !ok {
+		p := slices.Index(q.Sources, id)
+		if p < 0 {
 			return 0, false
 		}
 		m |= 1 << uint(p)

@@ -183,3 +183,48 @@ func TestNumTrees(t *testing.T) {
 		t.Error("NumTrees(0) != 0")
 	}
 }
+
+// TestInputsForMaskOf checks the scan-based MaskOf (called once per
+// candidate ad by ads.Registry.InputsFor) against a position map over
+// random queries and ID sets, and that it allocates nothing.
+func TestInputsForMaskOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		perm := rng.Perm(40)
+		q, err := NewQuery(trial, toIDs(perm[:1+rng.Intn(MaxSources)]), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := toIDs(rng.Perm(40)[:rng.Intn(6)])
+		pos := map[StreamID]int{}
+		for i, s := range q.Sources {
+			pos[s] = i
+		}
+		var want Mask
+		wantOK := true
+		for _, id := range ids {
+			p, ok := pos[id]
+			if !ok {
+				want, wantOK = 0, false
+				break
+			}
+			want |= 1 << uint(p)
+		}
+		if got, ok := q.MaskOf(ids); got != want || ok != wantOK {
+			t.Fatalf("MaskOf(%v) on %v = %b,%v, want %b,%v", ids, q.Sources, got, ok, want, wantOK)
+		}
+	}
+	q, _ := NewQuery(0, []StreamID{4, 2, 9, 7}, 0)
+	hit, miss := []StreamID{9, 4}, []StreamID{4, 8}
+	if n := testing.AllocsPerRun(100, func() { q.MaskOf(hit); q.MaskOf(miss) }); n != 0 {
+		t.Errorf("MaskOf allocates %v per call pair, want 0", n)
+	}
+}
+
+func toIDs(xs []int) []StreamID {
+	out := make([]StreamID, len(xs))
+	for i, x := range xs {
+		out[i] = StreamID(x)
+	}
+	return out
+}
