@@ -543,6 +543,65 @@ func BenchmarkSolveK4(b *testing.B) { benchSolveK(b, 4) }
 // slabs and the submask enumeration far harder than K=4.
 func BenchmarkSolveK6(b *testing.B) { benchSolveK(b, 6) }
 
+// BenchmarkSolveCluster32 measures the solve a level-1 view makes under
+// the default serving configuration (max_cs 32): 32 member sites of a
+// 128-node transit-stub network, source streams anywhere in it, K = 2..6.
+// "SiteDist" hands Solve the members' distance block, as Top-Down and
+// Bottom-Up do with Cluster.MemberDist; "Dist" leaves it nil, so Solve
+// materializes the 32×32 site matrix through the DistFunc (1,024 calls).
+func BenchmarkSolveCluster32(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	const n, m = 128, 32
+	g := netgraph.MustTransitStub(n, rng)
+	paths := g.ShortestPaths(netgraph.MetricCost)
+	sites := make([]netgraph.NodeID, m)
+	for i, v := range rng.Perm(n)[:m] {
+		sites[i] = netgraph.NodeID(v)
+	}
+	block := make([]float64, m*m)
+	for u, a := range sites {
+		for v, c := range sites {
+			block[u*m+v] = paths.Dist(a, c)
+		}
+	}
+	for k := 2; k <= 6; k++ {
+		cat := query.NewCatalog(0.01)
+		ids := make([]query.StreamID, k)
+		for i := range ids {
+			ids[i] = cat.Add("s", 1+rng.Float64()*50, netgraph.NodeID(rng.Intn(n)))
+		}
+		q, err := query.NewQuery(0, ids, sites[rng.Intn(m)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt := query.BuildRates(cat, q)
+		prob := core.Problem{
+			Inputs: core.BaseInputs(cat, q, rt),
+			Sites:  sites,
+			Dist:   paths.Dist,
+			Rates:  rt,
+			Goal:   q.All(),
+			Sink:   q.Sink, Deliver: true,
+		}
+		for _, withBlock := range []bool{false, true} {
+			name := fmt.Sprintf("K=%d/Dist", k)
+			prob.SiteDist = nil
+			if withBlock {
+				name = fmt.Sprintf("K=%d/SiteDist", k)
+				prob.SiteDist = block
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := core.Solve(prob); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkRegistryInputsFor measures the reuse lookup every cluster
 // search makes: a 5-source query against registries of 25 and 400 ads,
 // a quarter of them drawn from the query's own streams. Each lookup scans

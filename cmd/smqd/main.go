@@ -18,16 +18,36 @@
 //
 // Overloaded shards answer 429 with a Retry-After header (admission
 // control); the rejection count is in /metrics as "serving.rejected".
+//
+// Connections are bounded in time: a client gets readHeaderTimeout to
+// send its request headers and readTimeout for the whole request, a
+// response must be written within writeTimeout, and an idle keep-alive
+// connection is closed after idleTimeout. On SIGINT or SIGTERM the daemon
+// stops accepting connections and waits up to shutdownGrace for
+// in-flight requests before exiting; a second signal exits at once.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"hnp/internal/serve"
+)
+
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 10 * time.Second
 )
 
 func main() {
@@ -60,5 +80,31 @@ func main() {
 	}
 	log.Printf("smqd: serving on http://%s (%d shards × %d nodes, max_cs=%d, %d streams, %d in-flight plans/shard)",
 		*addr, cfg.Shards, cfg.Nodes, cfg.MaxCS, cfg.Streams, cfg.MaxInFlight)
-	log.Fatal(http.ListenAndServe(*addr, s))
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           s,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
+	select {
+	case err := <-served:
+		log.Fatal(err) // never nil: Shutdown has not been called
+	case <-ctx.Done():
+	}
+	stop() // restore default signal handling: a second signal kills at once
+	log.Printf("smqd: shutting down (up to %s for in-flight requests)", shutdownGrace)
+	shutCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	err = srv.Shutdown(shutCtx)
+	cancel()
+	if err != nil {
+		log.Fatalf("smqd: shutdown: %v", err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		log.Fatal(err)
+	}
 }

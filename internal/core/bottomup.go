@@ -108,7 +108,7 @@ func BottomUpOpts(h *hierarchy.Hierarchy, cat *query.Catalog, q *query.Query, re
 		// re-enumeration, which is what keeps Bottom-Up's search space and
 		// deployment time small.
 		plan, cost0, err := Solve(Problem{
-			Inputs: inputs, Sites: c.Members, Dist: h.Paths().Dist, Rates: rt, Widths: wt,
+			Inputs: inputs, Sites: c.Members, SiteDist: c.MemberDist(), Dist: h.Paths().Dist, Rates: rt, Widths: wt,
 			Goal: goal, Sink: q.Sink, Deliver: true, Penalty: opts.Penalty,
 		})
 		if err != nil {

@@ -32,8 +32,10 @@ func OptimalOpts(g *netgraph.Graph, paths *netgraph.Paths, cat *query.Catalog, q
 	for i := range sites {
 		sites[i] = netgraph.NodeID(i)
 	}
+	// The sites are 0..n-1, so the snapshot's own n×n slab is their
+	// site-to-site matrix.
 	plan, _, err := Solve(Problem{
-		Inputs: inputs, Sites: sites, Dist: paths.Dist, Rates: rt, Widths: wt,
+		Inputs: inputs, Sites: sites, SiteDist: paths.DistMatrix(), Dist: paths.Dist, Rates: rt, Widths: wt,
 		Goal: q.All(), Sink: q.Sink, Deliver: true, Penalty: opts.Penalty,
 	})
 	if err != nil {

@@ -29,6 +29,16 @@ type Problem struct {
 	// metric (shortest-path costs are); relaying through intermediate
 	// sites is therefore never modeled explicitly.
 	Dist query.DistFunc
+	// SiteDist, when non-nil, is Dist over Sites as a row-major m×m
+	// matrix (m = len(Sites)): entry u*m+v must equal Dist(Sites[u],
+	// Sites[v]) exactly. Solve then reads site-to-site costs from it in
+	// place instead of materializing them through Dist (m² calls). It is
+	// ignored, and the matrix materialized as before, when its length is
+	// not m² or Sites holds duplicates. Cluster searches pass
+	// Cluster.MemberDist; whole-network searches over sites 0..n-1 pass
+	// Paths.DistMatrix. Dist is still used for input locations and the
+	// sink. Solve only reads it.
+	SiteDist []float64
 	// Rates gives the expected output rate of every sub-join.
 	Rates query.RateTable
 	// Widths gives the byte width of every sub-join's output tuples; nil
@@ -60,15 +70,13 @@ const inf = math.MaxFloat64
 // cache-friendly block per table instead of a fresh []float64 per
 // sub-cluster mask.
 type solveScratch struct {
-	ins  []query.Input // usable inputs (masks ⊆ goal)
-	subs []query.Mask  // submask enumeration, reused run to run
+	ins []query.Input // usable inputs (masks ⊆ goal)
 
 	// Materialized distances: the DP probes these flat tables instead of
 	// calling Problem.Dist per probe. sdist is the m×m site-to-site
-	// matrix; idist the len(ins)×m input-location-to-site matrix. Each
-	// needed pair is computed exactly once per solve, which also turns
-	// hierarchy-estimate DistFuncs from a per-probe rep walk into a
-	// one-time materialization.
+	// matrix, filled only when the Problem brings no usable SiteDist;
+	// idist the len(ins)×m input-location-to-site matrix. Each needed
+	// pair is computed exactly once per solve.
 	sdist []float64
 	idist []float64
 
@@ -165,14 +173,19 @@ func (sc *solveScratch) solve(p Problem, buildPlan bool) (*query.PlanNode, float
 	// Only rows of actual submasks of Goal are written and read, so the
 	// slabs need no clearing between runs.
 
-	// Materialize every distance the DP will probe, once.
-	sc.sdist = growFloats(sc.sdist, m*m)
-	for u := 0; u < m; u++ {
-		row := sc.sdist[u*m : u*m+m]
-		su := sites[u]
-		for v := range row {
-			row[v] = p.Dist(su, sites[v])
+	// Site-to-site costs: the caller's block when it describes exactly
+	// these sites, else materialized once through Dist.
+	sdist := p.SiteDist
+	if len(sdist) != m*m || len(sites) != len(p.Sites) {
+		sc.sdist = growFloats(sc.sdist, m*m)
+		for u := 0; u < m; u++ {
+			row := sc.sdist[u*m : u*m+m]
+			su := sites[u]
+			for v := range row {
+				row[v] = p.Dist(su, sites[v])
+			}
 		}
+		sdist = sc.sdist
 	}
 	sc.idist = growFloats(sc.idist, len(ins)*m)
 	for i := range ins {
@@ -183,14 +196,24 @@ func (sc *solveScratch) solve(p Problem, buildPlan bool) (*query.PlanNode, float
 		}
 	}
 
-	// Enumerate submasks of Goal in increasing popcount order.
-	subs := appendSubmasksByPopcount(sc.subs[:0], p.Goal)
-	sc.subs = subs
+	// Enumerate submasks of Goal in increasing numeric order: every
+	// proper submask of s is numerically smaller than s, so the rows s
+	// reads are final before s is reached.
 	avail, availCh := sc.avail, sc.availCh
-	for _, s := range subs {
+	goal := p.Goal
+	for s := goal & -goal; s != 0; s = (s - goal) & goal {
 		base := int(s) * m
+		multi := s.Count() >= 2
+		if multi {
+			sc.bestSplits(&p, s, sites)
+		}
+		// Nothing reads avail[Goal]: the root is chosen from opCost[Goal]
+		// and the goal-covering inputs directly.
+		if s == goal {
+			break
+		}
 		av := avail[base : base+m]
-		ch := availCh[base : base+m]
+		ch := availCh[base : base+m][:len(av)]
 		for v := range av {
 			av[v], ch[v] = inf, math.MinInt32
 		}
@@ -207,39 +230,15 @@ func (sc *solveScratch) solve(p Problem, buildPlan bool) (*query.PlanNode, float
 				}
 			}
 		}
-		if s.Count() >= 2 {
-			oc := sc.opCost[base : base+m]
-			os := sc.opSplit[base : base+m]
-			low := s & -s
-			for v := 0; v < m; v++ {
-				best, bestSplit := inf, query.Mask(0)
-				for m1 := (s - 1) & s; m1 > 0; m1 = (m1 - 1) & s {
-					if m1&low == 0 {
-						continue // canonical: left part holds the lowest bit
-					}
-					m2 := s ^ m1
-					a1, a2 := avail[int(m1)*m+v], avail[int(m2)*m+v]
-					if a1 == inf || a2 == inf {
-						continue
-					}
-					c := a1 + a2
-					if p.Penalty != nil {
-						c += p.Penalty(sites[v], p.Rates.Rate(m1)+p.Rates.Rate(m2))
-					}
-					if c < best {
-						best, bestSplit = c, m1
-					}
-				}
-				oc[v], os[v] = best, bestSplit
-			}
+		if multi {
 			// Fold "operator at u, result shipped to v" into avail.
+			oc := sc.opCost[base : base+m]
 			rate := p.Rates.Rate(s) * p.Widths.Width(s)
-			for u := 0; u < m; u++ {
-				ocu := oc[u]
+			for u, ocu := range oc {
 				if ocu == inf {
 					continue
 				}
-				srow := sc.sdist[u*m : u*m+m]
+				srow := sdist[u*m:][:len(av)]
 				for v := range av {
 					if c := ocu + rate*srow[v]; c < av[v] {
 						av[v], ch[v] = c, int32(-(u + 2))
@@ -296,6 +295,54 @@ func (sc *solveScratch) solve(p Problem, buildPlan bool) (*query.PlanNode, float
 		root = r.buildOp(p.Goal, bestSite)
 	}
 	return root, best, nil
+}
+
+// bestSplits fills opCost and opSplit for sub-join s (|s| >= 2): the
+// cheapest canonical split (left part holds s's lowest bit) joined at each
+// site. Splits run on the outside and sites on the inside, so each split
+// streams two contiguous avail rows. Splits are tried in decreasing
+// numeric order and only a strictly cheaper one replaces the incumbent,
+// so every site breaks ties exactly as a per-site scan of the same order
+// would. Without a penalty an unavailable half (avail == inf) needs no
+// test: inf plus a non-negative cost is never below the incumbent, which
+// starts at inf. With a penalty the test stays, so Penalty is consulted
+// only for splits both of whose halves exist.
+func (sc *solveScratch) bestSplits(p *Problem, s query.Mask, sites []netgraph.NodeID) {
+	m := len(sites)
+	base := int(s) * m
+	oc := sc.opCost[base : base+m]
+	os := sc.opSplit[base : base+m][:len(oc)]
+	for v := range oc {
+		oc[v], os[v] = inf, 0
+	}
+	low := s & -s
+	for m1 := (s - 1) & s; m1 > 0; m1 = (m1 - 1) & s {
+		if m1&low == 0 {
+			continue // canonical: left part holds the lowest bit
+		}
+		m2 := s ^ m1
+		// Resliced to len(oc) so the site loops run without bounds checks.
+		r1 := sc.avail[int(m1)*m:][:len(oc)]
+		r2 := sc.avail[int(m2)*m:][:len(oc)]
+		if p.Penalty == nil {
+			for v := range oc {
+				if c := r1[v] + r2[v]; c < oc[v] {
+					oc[v], os[v] = c, m1
+				}
+			}
+			continue
+		}
+		inRate := p.Rates.Rate(m1) + p.Rates.Rate(m2)
+		for v := range oc {
+			a1, a2 := r1[v], r2[v]
+			if a1 == inf || a2 == inf {
+				continue
+			}
+			if c := a1 + a2 + p.Penalty(sites[v], inRate); c < oc[v] {
+				oc[v], os[v] = c, m1
+			}
+		}
+	}
 }
 
 // inputWidth returns the byte width of an input's tuples: its own
@@ -409,25 +456,4 @@ func dedupeSitesMap(sites []netgraph.NodeID) []netgraph.NodeID {
 		}
 	}
 	return out
-}
-
-// submasksByPopcount lists all non-empty submasks of goal, smallest
-// cardinality first, so DP dependencies are always ready.
-func submasksByPopcount(goal query.Mask) []query.Mask {
-	return appendSubmasksByPopcount(nil, goal)
-}
-
-// appendSubmasksByPopcount is submasksByPopcount into a caller-provided
-// buffer, so the pooled solver enumerates without allocating.
-func appendSubmasksByPopcount(subs []query.Mask, goal query.Mask) []query.Mask {
-	for s := goal; s > 0; s = (s - 1) & goal {
-		subs = append(subs, s)
-	}
-	// Insertion sort by popcount (lists are tiny: 2^K−1 entries).
-	for i := 1; i < len(subs); i++ {
-		for j := i; j > 0 && subs[j].Count() < subs[j-1].Count(); j-- {
-			subs[j], subs[j-1] = subs[j-1], subs[j]
-		}
-	}
-	return subs
 }

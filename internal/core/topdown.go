@@ -115,7 +115,10 @@ func (td *tdPlanner) planView(c *hierarchy.Cluster, leaves []query.Input, out ne
 
 	// Per-level estimated distances: endpoints inside this cluster's cover
 	// are seen through their level-l representatives; remote endpoints
-	// (streams entering the cluster) keep their physical location.
+	// (streams entering the cluster) keep their physical location. Every
+	// member is its own level-l representative, so between members the
+	// estimate is the cluster's member distance block, which Solve reads
+	// in place; est serves input locations and the sink.
 	level := c.Level
 	paths := td.h.Paths()
 	rep := func(n netgraph.NodeID) netgraph.NodeID {
@@ -127,7 +130,7 @@ func (td *tdPlanner) planView(c *hierarchy.Cluster, leaves []query.Input, out ne
 	est := func(a, b netgraph.NodeID) float64 { return paths.Dist(rep(a), rep(b)) }
 
 	plan0, cost0, err := Solve(Problem{
-		Inputs: inputs, Sites: c.Members, Dist: est, Rates: td.rt, Widths: td.wt,
+		Inputs: inputs, Sites: c.Members, SiteDist: c.MemberDist(), Dist: est, Rates: td.rt, Widths: td.wt,
 		Goal: goal, Sink: out, Deliver: deliver, Penalty: td.opts.Penalty,
 	})
 	if err != nil {

@@ -3,8 +3,8 @@ package core
 // SolveWork returns the number of candidate plan fragments one
 // Solve/SolveCost call examines for a k-way join whose inputs are the k
 // base streams, placed over m candidate sites. It mirrors the DP's loop
-// structure exactly (validated against a direct enumeration of the loops
-// in tests):
+// structure (validated against a direct enumeration of the loops in
+// tests):
 //
 //   - each of the k single-stream submasks relaxes its input into every
 //     site: k·m candidates;
@@ -13,6 +13,11 @@ package core
 //     then folds "operator at u, shipped to v" into availability with an
 //     m×m sweep: C(k,j)·(m·(2^(j−1)−1) + m²) candidates;
 //   - the root realization scans the goal's m operator placements.
+//
+// The kernel skips the goal's own m×m fold, whose results nothing reads
+// (the root realization reads opCost directly), so for k ≥ 2 it does m²
+// fewer candidates than counted here. The figure keeps that fold so the
+// plans/s series in BENCH_planner.json keeps one unit across kernels.
 //
 // This is the honest "plans considered" figure for the Solve benchmarks.
 // The DP covers the nominal exhaustive tree×placement space

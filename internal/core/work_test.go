@@ -7,9 +7,9 @@ import (
 )
 
 // TestSolveWorkMatchesEnumeration cross-checks the closed-form candidate
-// count against a direct walk of the DP's loops: the same submask order
-// Solve uses, the same canonical-split filter, the same m×m ship fold and
-// root scan. If Solve's enumeration structure ever changes, this is the
+// count against a direct walk of the DP's loops: every submask of the
+// goal (the count does not depend on their order), the same
+// canonical-split filter, the same m×m ship fold and root scan. If Solve's enumeration structure ever changes, this is the
 // test that forces SolveWork to change with it.
 func TestSolveWorkMatchesEnumeration(t *testing.T) {
 	for k := 1; k <= 8; k++ {

@@ -34,7 +34,22 @@ type Cluster struct {
 	// Diameter is the maximum pairwise traversal cost between members,
 	// measured on the physical network.
 	Diameter float64
+
+	// dist is the member distance block (see MemberDist), filled together
+	// with Diameter by Hierarchy.measure.
+	dist []float64
 }
+
+// MemberDist returns the cluster's member distance block: the row-major
+// m×m matrix (m = len(Members)) whose entry i*m+j is the path cost from
+// Members[i] to Members[j] under the hierarchy's current snapshot. A
+// member of a level-l cluster is its own level-l representative, so the
+// block is also exactly what EstCost reports between two members at the
+// cluster's level. Every mutation that changes the members or the
+// snapshot refreshes it (the same points that re-measure Diameter);
+// callers must treat it as read-only and must not keep it across a
+// mutation. It is nil for a Cluster the hierarchy did not build.
+func (c *Cluster) MemberDist() []float64 { return c.dist }
 
 // Level groups the clusters of one hierarchy level.
 type Level struct {
@@ -58,12 +73,12 @@ func (l *Level) MaxDiameter() float64 {
 
 // Hierarchy is a virtual clustering hierarchy over a physical network.
 //
-// Concurrency: read-only queries (Cover, Rep, EstCost, ClusterOf, ...) are
-// safe to call from multiple goroutines, so several planners can share one
-// hierarchy; the lazily-filled cover cache is internally locked. Mutations
-// (Rebind, AddNode, RemoveNode) are NOT safe to run concurrently with
-// queries or each other — callers must serialize them externally (the hnp
-// System does so with its own lock).
+// Concurrency: read-only queries (Cover, Rep, EstCost, ClusterOf,
+// Cluster.MemberDist, ...) are safe to call from multiple goroutines, so
+// several planners can share one hierarchy; the lazily-filled cover cache
+// is internally locked. Mutations (Rebind, AddNode, RemoveNode) are NOT
+// safe to run concurrently with queries or each other — callers must
+// serialize them externally (the hnp System does so with its own lock).
 type Hierarchy struct {
 	g     *netgraph.Graph
 	paths *netgraph.Paths
@@ -147,8 +162,8 @@ func Build(g *netgraph.Graph, paths *netgraph.Paths, maxCS int, rng *rand.Rand) 
 				Level:       levelIdx,
 				Members:     members,
 				Coordinator: nodes[res.Medoids[ci]],
-				Diameter:    paths.MaxPairwise(members),
 			}
+			h.measure(c)
 			lvl.Clusters = append(lvl.Clusters, c)
 			for _, m := range members {
 				lvl.byNode[m] = c
@@ -164,6 +179,31 @@ func Build(g *netgraph.Graph, paths *netgraph.Paths, maxCS int, rng *rand.Rand) 
 	}
 	h.rebuildRep()
 	return h, nil
+}
+
+// measure refills c's member distance block from the current path
+// snapshot and takes Diameter as the largest entry of its upper triangle:
+// the same pairs, compared in the same order, as Paths.MaxPairwise, so the
+// diameter is bit-identical to it. The block's storage is reused when the
+// cluster did not grow, which keeps delta rebinds allocation-free.
+func (h *Hierarchy) measure(c *Cluster) {
+	m := len(c.Members)
+	if cap(c.dist) < m*m {
+		c.dist = make([]float64, m*m)
+	}
+	c.dist = c.dist[:m*m]
+	max := 0.0
+	for i, a := range c.Members {
+		row := c.dist[i*m : i*m+m]
+		for j, b := range c.Members {
+			d := h.paths.Dist(a, b)
+			row[j] = d
+			if j > i && d > max {
+				max = d
+			}
+		}
+	}
+	c.Diameter = max
 }
 
 // rebuildRep (re)materializes the dense representative table from the

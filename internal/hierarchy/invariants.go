@@ -17,9 +17,10 @@ const diameterTolerance = 1e-9
 //   - every level is non-empty, 1-indexed, and its byNode index maps
 //     exactly the members of its clusters, each member to its one cluster;
 //   - every cluster is non-empty, holds at most max_cs members, has its
-//     coordinator among its members, and stores a diameter equal to the
+//     coordinator among its members, stores a diameter equal to the
 //     maximum pairwise traversal cost of its members under the current
-//     path snapshot;
+//     path snapshot, and carries a member distance block (MemberDist)
+//     equal entry for entry, exactly, to that snapshot's costs;
 //   - the members of level l+1 are exactly the coordinators of level l
 //     (the promotion bijection), and the top level has a single cluster;
 //   - the dense representative table agrees with an explicit walk up the
@@ -79,6 +80,9 @@ func (h *Hierarchy) CheckInvariants() error {
 				return fmt.Errorf("hierarchy: cluster %d at level %d stores diameter %g, members measure %g",
 					ci, lvl.Index, c.Diameter, want)
 			}
+			if err := h.checkMemberDist(c); err != nil {
+				return fmt.Errorf("hierarchy: cluster %d at level %d: %w", ci, lvl.Index, err)
+			}
 		}
 		if len(lvl.byNode) != len(seen) {
 			return fmt.Errorf("hierarchy: level %d byNode has %d entries for %d members (stale index entries)",
@@ -107,6 +111,25 @@ func (h *Hierarchy) CheckInvariants() error {
 		}
 	}
 	return h.checkRepTable()
+}
+
+// checkMemberDist pins c's member distance block to the current path
+// snapshot. Unlike the diameter it allows no tolerance: the block is a
+// copy of snapshot entries, so anything but equality means a mutation
+// forgot to refresh it.
+func (h *Hierarchy) checkMemberDist(c *Cluster) error {
+	m := len(c.Members)
+	if len(c.dist) != m*m {
+		return fmt.Errorf("member distance block has %d entries for %d members", len(c.dist), m)
+	}
+	for i, a := range c.Members {
+		for j, b := range c.Members {
+			if got, want := c.dist[i*m+j], h.paths.Dist(a, b); got != want {
+				return fmt.Errorf("member distance block [%d→%d] = %g, snapshot says %g", a, b, got, want)
+			}
+		}
+	}
+	return nil
 }
 
 // checkRepTable pins the dense representative table to an explicit walk up

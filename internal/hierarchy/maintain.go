@@ -25,8 +25,9 @@ func (h *Hierarchy) Rebind(paths *netgraph.Paths) error {
 // (netgraph.RefreshStats.Rows). Because changed distances always flag
 // both endpoints' rows, a cluster none of whose members appear in rows
 // has provably unchanged pairwise distances, so only clusters
-// intersecting rows re-measure their diameter. A nil rows (full
-// recompute, or scope unknown) re-measures every cluster.
+// intersecting rows re-measure their diameter and member distance block.
+// A nil rows (full recompute, or scope unknown) re-measures every
+// cluster.
 //
 // The representative table is not rebuilt in either case: it depends only
 // on cluster membership and coordinators, which Rebind never changes.
@@ -49,7 +50,7 @@ func (h *Hierarchy) RebindRows(paths *netgraph.Paths, rows []netgraph.NodeID) er
 	if rows == nil {
 		for _, lvl := range h.lvls {
 			for _, c := range lvl.Clusters {
-				c.Diameter = paths.MaxPairwise(c.Members)
+				h.measure(c)
 				reaudited++
 			}
 		}
@@ -66,7 +67,7 @@ func (h *Hierarchy) RebindRows(paths *netgraph.Paths, rows []netgraph.NodeID) er
 			for _, c := range lvl.Clusters {
 				for _, m := range c.Members {
 					if mark[m] {
-						c.Diameter = paths.MaxPairwise(c.Members)
+						h.measure(c)
 						reaudited++
 						break
 					}
@@ -133,7 +134,7 @@ func (h *Hierarchy) insert(c *Cluster, v netgraph.NodeID) {
 	lvl := h.lvls[c.Level-1]
 	c.Members = append(c.Members, v)
 	lvl.byNode[v] = c
-	c.Diameter = h.paths.MaxPairwise(c.Members)
+	h.measure(c)
 	if len(c.Members) <= h.maxCS {
 		return
 	}
@@ -178,17 +179,18 @@ func (h *Hierarchy) split(c *Cluster) {
 		// Degenerate split; nothing to do (can only happen with duplicate
 		// coordinates, where the cluster cannot actually shrink).
 		c.Members = keep
+		h.measure(c)
 		return
 	}
 	c.Members = keep
-	c.Diameter = h.paths.MaxPairwise(keep)
+	h.measure(c)
 
 	nc := &Cluster{
 		Level:       c.Level,
 		Members:     moved,
 		Coordinator: h.paths.Medoid(moved),
-		Diameter:    h.paths.MaxPairwise(moved),
 	}
+	h.measure(nc)
 	lvl.Clusters = append(lvl.Clusters, nc)
 	for _, m := range moved {
 		lvl.byNode[m] = nc
@@ -203,8 +205,8 @@ func (h *Hierarchy) split(c *Cluster) {
 			Level:       c.Level + 1,
 			Members:     members,
 			Coordinator: h.paths.Medoid(members),
-			Diameter:    h.paths.MaxPairwise(members),
 		}
+		h.measure(tc)
 		top.Clusters = []*Cluster{tc}
 		for _, m := range members {
 			top.byNode[m] = tc
@@ -254,7 +256,7 @@ func (h *Hierarchy) removeFrom(c *Cluster, v netgraph.NodeID) {
 		return
 	}
 
-	c.Diameter = h.paths.MaxPairwise(c.Members)
+	h.measure(c)
 	if c.Coordinator != v {
 		return
 	}
@@ -274,7 +276,7 @@ func (h *Hierarchy) removeFrom(c *Cluster, v netgraph.NodeID) {
 		}
 		delete(h.lvls[l-1].byNode, v)
 		h.lvls[l-1].byNode[newCoord] = up
-		up.Diameter = h.paths.MaxPairwise(up.Members)
+		h.measure(up)
 		if up.Coordinator != v {
 			break
 		}

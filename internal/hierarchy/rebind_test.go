@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,8 +12,9 @@ import (
 // TestRebindRowsMatchesFull drives random link churn through two
 // identically built hierarchies — one maintained with full Rebind, one
 // with delta RebindRows fed by incremental path refreshes — and asserts
-// every cluster diameter, coordinator, and rep-table entry stays
-// identical, while the delta side re-audits strictly fewer clusters.
+// every cluster diameter, coordinator, member distance block, and
+// rep-table entry stays identical, while the delta side re-audits
+// strictly fewer clusters.
 func TestRebindRowsMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	g := netgraph.MustTransitStub(64, rng)
@@ -88,6 +90,17 @@ func TestRebindRowsMatchesFull(t *testing.T) {
 				if fc.Diameter != dc.Diameter {
 					t.Fatalf("step %d level %d cluster %d: diameter %g (full) vs %g (delta)",
 						step, li, ci, fc.Diameter, dc.Diameter)
+				}
+				fb, db := fc.MemberDist(), dc.MemberDist()
+				if len(fb) != len(db) {
+					t.Fatalf("step %d level %d cluster %d: block sizes %d (full) vs %d (delta)",
+						step, li, ci, len(fb), len(db))
+				}
+				for i := range fb {
+					if math.Float64bits(fb[i]) != math.Float64bits(db[i]) {
+						t.Fatalf("step %d level %d cluster %d: block entry %d is %g (full) vs %g (delta)",
+							step, li, ci, i, fb[i], db[i])
+					}
 				}
 			}
 		}

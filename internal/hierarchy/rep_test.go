@@ -24,9 +24,24 @@ func repWalk(h *Hierarchy, v netgraph.NodeID, level int) netgraph.NodeID {
 }
 
 // checkRepAgainstWalk asserts Rep and EstCost computed via the dense table
-// match the chain walk for every present node at every level.
+// match the chain walk for every present node at every level, and that
+// every cluster's member distance block is exactly the level estimate
+// between its members (each member is its own representative at the
+// cluster's level), which is what lets Top-Down hand the block to Solve.
 func checkRepAgainstWalk(t *testing.T, h *Hierarchy, tag string) {
 	t.Helper()
+	for l := 1; l <= h.Height(); l++ {
+		for _, c := range h.LevelAt(l).Clusters {
+			block, m := c.MemberDist(), len(c.Members)
+			for i, a := range c.Members {
+				for j, b := range c.Members {
+					if got, want := block[i*m+j], h.EstCost(a, b, l); got != want {
+						t.Fatalf("%s: level %d block[%d→%d] = %g, EstCost gives %g", tag, l, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
 	n := h.Graph().NumNodes()
 	for v := 0; v < n; v++ {
 		id := netgraph.NodeID(v)
@@ -122,13 +137,17 @@ func TestRepTableMatchesChainWalk(t *testing.T) {
 // TestChurnInvariants is a property test: under long random sequences of
 // RemoveNode / AddNode / Rebind churn, every structural invariant the
 // hierarchy promises (partition per level, size caps, coordinator
-// membership, exact diameters, promotion bijection, single top cluster,
-// fresh paths, dense rep table) must hold after every single operation.
+// membership, exact diameters and member distance blocks, promotion
+// bijection, single top cluster, fresh paths, dense rep table) must hold
+// after every single operation. The run must also have reached the
+// mutations that rebuild blocks from scratch: AddNode splitting a
+// cluster, RemoveNode dropping one, and coordinator replacement.
 func TestChurnInvariants(t *testing.T) {
 	ops := 120
 	if testing.Short() {
 		ops = 40
 	}
+	var splits, drops, promotions int
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(30)
@@ -163,8 +182,15 @@ func TestChurnInvariants(t *testing.T) {
 				}
 				v := members[rng.Intn(len(members))]
 				desc = fmt.Sprintf("RemoveNode(%d)", v)
+				before := h.NumClusters()
+				if h.ClusterOf(v, 1).Coordinator == v && len(h.ClusterOf(v, 1).Members) > 1 {
+					promotions++
+				}
 				if err := h.RemoveNode(v); err != nil {
 					t.Fatalf("seed %d op %d: %s: %v", seed, op, desc, err)
+				}
+				if h.NumClusters() < before {
+					drops++
 				}
 				present[v] = false
 				absent = append(absent, v)
@@ -173,8 +199,12 @@ func TestChurnInvariants(t *testing.T) {
 				i := rng.Intn(len(absent))
 				v := absent[i]
 				desc = fmt.Sprintf("AddNode(%d)", v)
+				before := h.NumClusters()
 				if err := h.AddNode(v); err != nil {
 					t.Fatalf("seed %d op %d: %s: %v", seed, op, desc, err)
+				}
+				if h.NumClusters() > before {
+					splits++
 				}
 				absent = append(absent[:i], absent[i+1:]...)
 				present[v] = true
@@ -201,5 +231,32 @@ func TestChurnInvariants(t *testing.T) {
 				}
 			}
 		}
+
+		// Empty the smallest level-1 cluster so every seed also dissolves
+		// one (and whatever it coordinated above).
+		if lvl := h.LevelAt(1); len(lvl.Clusters) > 1 {
+			smallest := lvl.Clusters[0]
+			for _, c := range lvl.Clusters[1:] {
+				if len(c.Members) < len(smallest.Members) {
+					smallest = c
+				}
+			}
+			before := h.NumClusters()
+			for _, v := range append([]netgraph.NodeID(nil), smallest.Members...) {
+				if err := h.RemoveNode(v); err != nil {
+					t.Fatalf("seed %d: draining cluster: RemoveNode(%d): %v", seed, v, err)
+				}
+				if err := h.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d: draining cluster: after RemoveNode(%d): %v", seed, v, err)
+				}
+			}
+			if h.NumClusters() < before {
+				drops++
+			}
+		}
+	}
+	if splits == 0 || drops == 0 || promotions == 0 {
+		t.Errorf("churn reached %d splits, %d cluster drops, %d coordinator promotions; want each > 0",
+			splits, drops, promotions)
 	}
 }

@@ -254,6 +254,13 @@ func (p *Paths) StaleFor(g *Graph) bool {
 // planner.
 func (p *Paths) Dist(a, b NodeID) float64 { return p.distSlab[int(a)*p.n+int(b)] }
 
+// DistMatrix returns the whole distance table as one row-major n×n slab:
+// entry a*n+b is Dist(a, b). It is the snapshot's own storage, so callers
+// must treat it as read-only; it stays valid as long as the snapshot
+// does (a snapshot donated to RefreshFrom as a recycle target is
+// overwritten).
+func (p *Paths) DistMatrix() []float64 { return p.distSlab }
+
 // Reachable reports whether b is reachable from a.
 func (p *Paths) Reachable(a, b NodeID) bool { return !math.IsInf(p.dist[a][b], 1) }
 
